@@ -62,9 +62,11 @@ pub fn write_edge_list<W: Write>(graph: &CsrGraph, mut w: W) -> io::Result<()> {
 
 const BINARY_MAGIC: &[u8; 8] = b"PPSCANG1";
 
-/// Writes the compact binary CSR format:
-/// magic, n (u64), offsets as u64 deltas… actually plain u64 offsets,
-/// then neighbors as u32.
+/// Writes the compact binary CSR format, all integers little-endian:
+/// the 8-byte magic `PPSCANG1`, the vertex count `n` as a u64, the
+/// `n + 1` CSR offsets as absolute u64 values (the last one is the
+/// directed-slot count `2m`), then the `2m` neighbor ids as u32, each
+/// vertex's list sorted ascending.
 pub fn write_binary<W: Write>(graph: &CsrGraph, mut w: W) -> io::Result<()> {
     w.write_all(BINARY_MAGIC)?;
     let n = graph.num_vertices() as u64;

@@ -8,15 +8,19 @@ fn cli() -> Command {
     Command::new(env!("CARGO_BIN_EXE_ppscan-cli"))
 }
 
-fn tmpdir() -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("ppscan_cli_{}", std::process::id()));
+/// A fresh scratch directory private to one test. Tests in this binary
+/// run concurrently and each removes its directory when done, so the
+/// name carries the test's own name as well as the process id.
+fn tmpdir(test: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("ppscan_cli_{test}_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).unwrap();
     dir
 }
 
 #[test]
 fn generate_stats_cluster_roundtrip() {
-    let dir = tmpdir();
+    let dir = tmpdir("roundtrip");
     let graph_txt = dir.join("g.txt");
     let graph_bin = dir.join("g.bin");
     let clusters = dir.join("clusters.txt");
@@ -107,7 +111,7 @@ fn rejects_unknown_command_and_kernel() {
     let out = cli().arg("frobnicate").output().unwrap();
     assert_eq!(out.status.code(), Some(2));
 
-    let dir = tmpdir();
+    let dir = tmpdir("unknown-kernel");
     let g = dir.join("k.txt");
     std::fs::write(&g, "0 1\n1 2\n").unwrap();
     let out = cli()
@@ -123,9 +127,10 @@ fn rejects_unknown_and_typoed_flags() {
     // Regression: `--epsilonn 0.5` used to be silently ignored (the
     // parser only scanned for known flag names), so the run proceeded
     // with the default ε. Unknown flags must print usage and exit 2.
-    let dir = tmpdir().join("unknown-flags");
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = tmpdir("unknown-flags");
     let g = dir.join("u.txt");
+    let (x, y) = (dir.join("x.txt"), dir.join("y.txt"));
+    let (x, y) = (x.to_str().unwrap(), y.to_str().unwrap());
     std::fs::write(&g, "0 1\n1 2\n2 0\n").unwrap();
 
     let out = cli()
@@ -140,8 +145,8 @@ fn rejects_unknown_and_typoed_flags() {
     // Every subcommand validates its full argument list.
     for args in [
         vec!["stats", g.to_str().unwrap(), "--verbose"],
-        vec!["generate", "roll", "--out", "/tmp/x.txt", "--degrees", "4"],
-        vec!["convert", g.to_str().unwrap(), "/tmp/y.txt", "--force"],
+        vec!["generate", "roll", "--out", x, "--degrees", "4"],
+        vec!["convert", g.to_str().unwrap(), y, "--force"],
         vec!["cluster", g.to_str().unwrap(), "--classifyy"],
     ] {
         let out = cli().args(&args).output().unwrap();
@@ -149,6 +154,18 @@ fn rejects_unknown_and_typoed_flags() {
         assert!(
             String::from_utf8_lossy(&out.stderr).contains("unknown flag"),
             "{args:?} must name the unknown flag"
+        );
+    }
+
+    // Names outside `Kernel::ALL` are rejected, not silently mapped to
+    // another kernel.
+    for kernel in ["fesia", "hash", "shuffling", "autotuned"] {
+        let args = ["cluster", g.to_str().unwrap(), "--kernel", kernel];
+        let out = cli().args(args).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?} must exit 2");
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains("unknown kernel"),
+            "{args:?} must name the unknown kernel"
         );
     }
 

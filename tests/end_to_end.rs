@@ -11,7 +11,7 @@ fn generate_persist_reload_cluster_verify() {
     let g = gen::planted_partition(5, 30, 0.5, 0.01, 123);
 
     // Persist and reload through both formats.
-    let dir = std::env::temp_dir().join("ppscan_it");
+    let dir = std::env::temp_dir().join(format!("ppscan_it_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let txt = dir.join("g.txt");
     let bin = dir.join("g.bin");
@@ -24,8 +24,7 @@ fn generate_persist_reload_cluster_verify() {
     let g_bin = io::read_binary_file(&bin).unwrap();
     assert_eq!(g, g_txt);
     assert_eq!(g, g_bin);
-    std::fs::remove_file(&txt).ok();
-    std::fs::remove_file(&bin).ok();
+    std::fs::remove_dir_all(&dir).ok();
 
     // Cluster with the facade and verify from first principles.
     let params = ScanParams::new(0.5, 3);
