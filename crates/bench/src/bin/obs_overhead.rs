@@ -17,9 +17,11 @@
 //! are on the sampler thread, not the hot path. `--max-overhead <f>`
 //! turns the bound into a gate (exit 1 when the worst ratio exceeds it).
 //!
+//! All three configurations run at the first `--threads` entry.
+//!
 //! ```sh
 //! cargo run --release -p ppscan-bench --bin obs_overhead -- \
-//!     [--scale 1.0] [--max-overhead 0.05]
+//!     [--scale 1.0] [--threads 2] [--max-overhead 0.05]
 //! ```
 
 use ppscan_bench::{secs, HarnessArgs, Table};
@@ -45,7 +47,10 @@ fn main() {
     if args.eps_list == [0.2, 0.4, 0.6, 0.8] && !args.quick {
         args.eps_list = vec![0.2, 0.6]; // small eps = busiest hot path
     }
-    let threads = std::thread::available_parallelism().map_or(4, |n| n.get());
+    // The first `--threads` entry (1 by default and under `--quick`), not
+    // the core count: committed baselines name their runs by thread count,
+    // so the run set must not depend on the host.
+    let threads = args.threads.first().copied().unwrap_or(1);
     let observed_cfg = PpScanConfig::with_threads(threads);
     let unobserved_cfg = PpScanConfig::with_threads(threads).observe(false);
     let registry = Arc::new(MetricsRegistry::new());

@@ -202,9 +202,8 @@ impl<'g> PScan<'g> {
         self.prune_timer.time(|| {
             sim.set(eo, label);
             // Similarity value reuse: the reverse slot comes from the
-            // precomputed reverse-edge index in O(1) (the paper's
-            // binary search survives as `CsrGraph::rev_offset`'s
-            // fallback for index-less graphs).
+            // reverse-edge index every `CsrGraph` carries, in O(1),
+            // where the paper binary-searches `v`'s neighbor list.
             sim.set(g.rev_offset(eo), label);
         });
         if label == Similarity::Sim {

@@ -80,7 +80,19 @@ impl GraphBuilder {
 
     /// Builds the CSR graph: counting sort by source, then per-vertex sort
     /// and dedup. O(|E| log d_max) time, no hashing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the graph exceeds the `u32` limits on the vertex or
+    /// directed-slot count; [`Self::try_build`] returns those as `Err`.
     pub fn build(self) -> CsrGraph {
+        self.try_build().unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`Self::build`], returning `Err` instead of panicking when the
+    /// graph exceeds the `u32` limits. The vertex limit is checked before
+    /// anything proportional to the vertex count is allocated.
+    pub fn try_build(self) -> Result<CsrGraph, String> {
         let n = self
             .edges
             .iter()
@@ -88,6 +100,9 @@ impl GraphBuilder {
             .max()
             .unwrap_or(0)
             .max(self.min_vertices);
+        if n > VertexId::MAX as usize {
+            return Err(format!("{n} vertices exceed the u32 vertex-id limit"));
+        }
 
         // Degree count for both directions.
         let mut counts = vec![0usize; n + 1];
@@ -131,10 +146,10 @@ impl GraphBuilder {
             new_offsets[u + 1] = write;
         }
         neighbors.truncate(write);
-        // Dedup can leave an odd asymmetry only if input contained (u,v)
-        // twice in one direction — normalization above stores min/max, so
-        // both directions are always inserted in lockstep and symmetry holds.
-        CsrGraph::from_sorted_parts_unchecked(new_offsets, neighbors)
+        // Normalization stores each pair as (min, max) and scatters both
+        // directions in lockstep, so dedup keeps the lists symmetric; the
+        // gate proves it while building the reverse-edge index.
+        CsrGraph::from_sorted_parts(new_offsets, neighbors)
     }
 }
 

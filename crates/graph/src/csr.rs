@@ -15,78 +15,76 @@ pub type VertexId = u32;
 
 /// An immutable undirected graph in CSR form with sorted neighbor lists.
 ///
-/// Construct one with [`crate::GraphBuilder`], [`CsrGraph::from_sorted_parts`]
-/// or the generators in [`crate::gen`].
+/// Every construction path — [`crate::GraphBuilder`], the generators in
+/// [`crate::gen`], [`crate::io::read_binary`], [`crate::GraphDelta`]
+/// splices and [`CsrGraph::from_sorted_parts`] — passes the same one-pass
+/// gate, which proves the CSR invariants and builds the reverse-edge
+/// index together, so a `CsrGraph` always has both.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CsrGraph {
     /// `offsets[u] .. offsets[u + 1]` delimits `u`'s neighbor slice.
     offsets: Vec<usize>,
     /// Concatenated, per-vertex-sorted adjacency (the paper's `dst` array).
     neighbors: Vec<VertexId>,
-    /// Precomputed reverse-edge index: `rev[e(u, v)] = e(v, u)`. Built in
-    /// one O(m) counting pass at construction time; empty when the index
-    /// could not be built (corrupt parts awaiting `validate`, or more than
-    /// `u32::MAX` directed slots), in which case [`Self::rev_offset`] falls
-    /// back to binary search.
+    /// Reverse-edge index: `rev[e(u, v)] = e(v, u)`, one entry per
+    /// directed slot, built by the construction gate.
     rev: Vec<u32>,
 }
 
 impl CsrGraph {
-    /// Builds a graph directly from CSR parts.
+    /// Builds a graph from CSR parts, or describes the first violated
+    /// invariant. `offsets` must be non-empty and non-decreasing, start
+    /// at 0 and end at `neighbors.len()`; each neighbor list must be
+    /// strictly increasing, in range and free of self loops; every edge
+    /// must have its reverse edge; and both the vertex count and the
+    /// directed-slot count must fit in a `u32`. Accepts exactly the
+    /// parts [`Self::validate`] accepts within those limits, in one
+    /// O(n + m) pass that also builds the reverse-edge index.
+    pub fn from_sorted_parts(
+        offsets: Vec<usize>,
+        neighbors: Vec<VertexId>,
+    ) -> Result<Self, String> {
+        let rev = check_and_index(&offsets, &neighbors)?;
+        Ok(Self {
+            offsets,
+            neighbors,
+            rev,
+        })
+    }
+
+    /// [`Self::from_sorted_parts`] for parts that are valid by
+    /// construction. The check is not skipped: the reverse-index build
+    /// every graph needs proves the invariants at no extra cost, so
+    /// invalid parts are rejected in release builds too.
     ///
     /// # Panics
     ///
-    /// Panics if the parts violate a CSR invariant: `offsets` must be
-    /// non-empty and non-decreasing, start at 0 and end at
-    /// `neighbors.len()`; each neighbor list must be strictly increasing,
-    /// free of self loops, and every edge must have its reverse edge.
-    pub fn from_sorted_parts(offsets: Vec<usize>, neighbors: Vec<VertexId>) -> Self {
-        let rev = build_rev(&offsets, &neighbors).unwrap_or_default();
-        let g = Self {
-            offsets,
-            neighbors,
-            rev,
-        };
-        g.validate().expect("invalid CSR parts");
-        g
-    }
-
-    /// Builds a graph from CSR parts without checking the invariants.
-    ///
-    /// Intended for generators that construct valid CSR by construction;
-    /// in debug builds the invariants are still asserted.
+    /// Panics if the parts are invalid or exceed the `u32` limits.
     pub fn from_sorted_parts_unchecked(offsets: Vec<usize>, neighbors: Vec<VertexId>) -> Self {
-        let rev = build_rev(&offsets, &neighbors).unwrap_or_default();
-        let g = Self {
-            offsets,
-            neighbors,
-            rev,
-        };
-        debug_assert!(g.validate().is_ok(), "invalid CSR parts");
-        g
+        Self::from_sorted_parts(offsets, neighbors)
+            .unwrap_or_else(|e| panic!("invalid CSR parts: {e}"))
     }
 
     /// Builds a graph from pre-spliced CSR parts plus a reverse-edge
-    /// index derived from [`Self::splice_rev`], skipping the O(m)
-    /// [`build_rev`] pass. Debug builds re-derive the index and assert
-    /// equality, so any splice bug fails the differential tests.
+    /// index derived from [`Self::splice_rev`], skipping the O(m) gate
+    /// pass. Debug builds run the gate and assert it accepts the parts
+    /// and derives the same index, so any splice bug fails the
+    /// differential tests.
     pub(crate) fn from_spliced_parts_unchecked(
         offsets: Vec<usize>,
         neighbors: Vec<VertexId>,
         rev: Vec<u32>,
     ) -> Self {
         debug_assert_eq!(
-            Some(&rev),
-            build_rev(&offsets, &neighbors).as_ref(),
+            Ok(&rev),
+            check_and_index(&offsets, &neighbors).as_ref(),
             "spliced rev index must match a from-scratch build"
         );
-        let g = Self {
+        Self {
             offsets,
             neighbors,
             rev,
-        };
-        debug_assert!(g.validate().is_ok(), "invalid CSR parts");
-        g
+        }
     }
 
     /// Derives the reverse-edge index of a spliced CSR (`offsets`,
@@ -95,10 +93,10 @@ impl CsrGraph {
     /// both endpoints untouched, `v`'s list is byte-identical to the old
     /// one and only shifted: `rev'[e] = rev[e_old] + (off'[v] - off[v])`.
     /// Slots with a touched endpoint — `O(vol(T))` of them — fall back to
-    /// binary search in `v`'s new list. Returns `None` (caller rebuilds
-    /// from scratch) when this graph has no index to splice from, the new
-    /// slot count exceeds `u32::MAX`, or the touched volume is so large
-    /// that the per-slot searches would lose to one counting pass.
+    /// binary search in `v`'s new list. Returns `None` (caller runs the
+    /// full gate instead) when the touched volume is so large that the
+    /// per-slot searches would lose to one counting pass. The caller
+    /// must have checked that `neighbors.len()` fits in a `u32`.
     pub(crate) fn splice_rev(
         &self,
         offsets: &[usize],
@@ -106,9 +104,6 @@ impl CsrGraph {
         in_t: &[bool],
     ) -> Option<Vec<u32>> {
         let m = neighbors.len();
-        if m > u32::MAX as usize || (self.rev.is_empty() && !self.neighbors.is_empty()) {
-            return None;
-        }
         let n = offsets.len() - 1;
         // Touched volume in the *new* graph bounds the number of
         // binary-search slots ((u ∈ T) ∪ (v ∈ T) slots ≤ 2·vol(T)).
@@ -152,8 +147,12 @@ impl CsrGraph {
         Some(rev)
     }
 
-    /// Checks every representation invariant; returns a description of the
-    /// first violation found.
+    /// Checks every representation invariant with a binary search per
+    /// directed slot, O(m log d); returns a description of the first
+    /// violation found. Construction never calls this — the one-pass
+    /// gate behind [`Self::from_sorted_parts`] proves the same
+    /// invariants — it stays as the independent oracle the gate is
+    /// tested against.
     pub fn validate(&self) -> Result<(), String> {
         if self.offsets.is_empty() {
             return Err("offsets must have at least one entry".into());
@@ -193,12 +192,12 @@ impl CsrGraph {
     }
 
     /// An empty graph with `n` isolated vertices.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` exceeds the `u32` vertex-id limit.
     pub fn empty(n: usize) -> Self {
-        Self {
-            offsets: vec![0; n + 1],
-            neighbors: Vec::new(),
-            rev: Vec::new(),
-        }
+        Self::from_sorted_parts_unchecked(vec![0; n + 1], Vec::new())
     }
 
     /// Number of vertices `|V|`.
@@ -276,41 +275,12 @@ impl CsrGraph {
 
     /// The CSR slot of the reverse directed edge: for the slot `eo`
     /// holding edge `(u, v)`, returns the slot of `(v, u)`. O(1) via the
-    /// precomputed index built at construction time — this replaces the
+    /// reverse-edge index every graph carries — this replaces the
     /// per-edge binary search in pSCAN's similarity-value-reuse technique
-    /// (§3.2.1). Falls back to [`Self::rev_offset_search`] when the index
-    /// is absent (more than `u32::MAX` directed slots).
+    /// (§3.2.1); [`Self::edge_offset`] remains the search-based reference.
     #[inline]
     pub fn rev_offset(&self, eo: usize) -> usize {
-        match self.rev.get(eo) {
-            Some(&r) => r as usize,
-            None => self.rev_offset_search(eo),
-        }
-    }
-
-    /// Binary-search reference implementation of [`Self::rev_offset`]:
-    /// recovers the source vertex of slot `eo` from `offsets`, then
-    /// searches the destination's neighbor list. Kept public as the
-    /// fallback path and for the index-agreement property tests.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `eo` is out of range or the reverse edge is missing
-    /// (impossible on a validated graph).
-    pub fn rev_offset_search(&self, eo: usize) -> usize {
-        let v = self.neighbors[eo];
-        let u = self.slot_src(eo);
-        self.edge_offset(v, u)
-            .expect("undirected graph must contain the reverse edge")
-    }
-
-    /// Source vertex of the directed edge stored at CSR slot `eo` — the
-    /// inverse of [`Self::neighbor_range`], found by binary search over
-    /// `offsets`.
-    #[inline]
-    pub fn slot_src(&self, eo: usize) -> VertexId {
-        debug_assert!(eo < self.neighbors.len());
-        (self.offsets.partition_point(|&o| o <= eo) - 1) as VertexId
+        self.rev[eo] as usize
     }
 
     /// Iterates over all vertices.
@@ -358,53 +328,84 @@ impl CsrGraph {
     }
 }
 
-/// Builds the reverse-edge index in one O(m) counting pass, or `None` if
-/// the parts do not describe a symmetric sorted CSR (or exceed `u32`
-/// slot range).
+#[cfg(test)]
+impl CsrGraph {
+    /// Wraps parts without the gate (and without an index), so tests can
+    /// hand corrupt parts to the [`CsrGraph::validate`] oracle.
+    pub(crate) fn unvalidated_for_tests(offsets: Vec<usize>, neighbors: Vec<VertexId>) -> Self {
+        Self {
+            offsets,
+            neighbors,
+            rev: Vec::new(),
+        }
+    }
+}
+
+/// The single gate every [`CsrGraph`] passes: proves the invariants
+/// [`CsrGraph::validate`] checks, plus the `u32` limits on the vertex
+/// and directed-slot counts, and builds the reverse-edge index in the
+/// same O(n + m) pass. Returns the index, or a description of the first
+/// violation found. Never panics, whatever the parts hold.
 ///
-/// The pass walks sources `u` in ascending order keeping one write
-/// cursor per destination list, initialized to `offsets[v]`. Because
-/// every neighbor list is strictly increasing and symmetric, the slots
-/// of `v`'s list are consumed exactly in ascending source order, so the
-/// next unconsumed slot of `v`'s list is always `(v, u)` — no search
-/// needed. Every access is bounds-checked so the builder is safe to run
-/// on unvalidated input (e.g. a binary graph file before `validate`);
-/// any inconsistency yields `None` and the caller falls back to binary
-/// search until validation rejects the graph.
-fn build_rev(offsets: &[usize], neighbors: &[VertexId]) -> Option<Vec<u32>> {
+/// Symmetry needs no search. The pass walks sources `u` in ascending
+/// order keeping one cursor per destination list, starting at
+/// `offsets[v]`. In a symmetric graph with strictly increasing lists,
+/// `v`'s slots are consumed exactly in ascending source order, so the
+/// next unconsumed slot of `v`'s list holds `u`. Conversely, if every
+/// slot `(u, v)` finds `u` at `v`'s cursor, inside `v`'s list, the
+/// cursors map the `m` slots injectively into themselves, hence onto,
+/// so every edge has its reverse.
+fn check_and_index(offsets: &[usize], neighbors: &[VertexId]) -> Result<Vec<u32>, String> {
     let m = neighbors.len();
-    if m == 0 {
-        return Some(Vec::new());
-    }
-    if m > u32::MAX as usize || offsets.len() < 2 || *offsets.last()? != m {
-        return None;
-    }
+    let Some((&last, _)) = offsets.split_last() else {
+        return Err("offsets must have at least one entry".into());
+    };
     let n = offsets.len() - 1;
-    let mut cursor: Vec<usize> = offsets[..n].to_vec();
+    if n > u32::MAX as usize {
+        return Err(format!("{n} vertices exceed the u32 vertex-id limit"));
+    }
+    if m > u32::MAX as usize {
+        return Err(format!("{m} directed edges exceed the u32 slot limit"));
+    }
+    if offsets[0] != 0 {
+        return Err("offsets[0] must be 0".into());
+    }
+    if last != m {
+        return Err(format!(
+            "offsets must end at neighbors.len() = {m}, got {last}"
+        ));
+    }
+    if offsets.windows(2).any(|w| w[0] > w[1]) {
+        return Err("offsets must be non-decreasing".into());
+    }
+    // Every offset is now at most m <= u32::MAX.
+    let mut cursor: Vec<u32> = offsets[..n].iter().map(|&o| o as u32).collect();
     let mut rev = vec![0u32; m];
     for u in 0..n {
-        let start = *offsets.get(u)?;
-        let end = *offsets.get(u + 1)?;
-        if start > end || end > m {
-            return None;
-        }
-        for (eo, slot) in rev.iter_mut().enumerate().take(end).skip(start) {
-            let v = *neighbors.get(eo)? as usize;
-            if v >= n {
-                return None;
+        let (start, end) = (offsets[u], offsets[u + 1]);
+        for eo in start..end {
+            let v = neighbors[eo];
+            let vi = v as usize;
+            if vi >= n {
+                return Err(format!("edge ({u}, {v}) out of range (n = {n})"));
             }
-            let c = cursor[v];
-            // The reverse slot must sit inside v's list and point back
-            // at u; anything else means the parts are not symmetric
-            // sorted CSR.
-            if c >= *offsets.get(v + 1)? || *neighbors.get(c)? as usize != u {
-                return None;
+            if vi == u {
+                return Err(format!("self loop at {u}"));
             }
-            *slot = c as u32;
-            cursor[v] = c + 1;
+            if eo > start && neighbors[eo - 1] >= v {
+                return Err(format!("neighbors of {u} not strictly increasing"));
+            }
+            let c = cursor[vi] as usize;
+            if c >= offsets[vi + 1] || neighbors[c] as usize != u {
+                return Err(format!(
+                    "no reverse slot for ({u}, {v}): lists not symmetric and sorted"
+                ));
+            }
+            rev[eo] = c as u32;
+            cursor[vi] += 1;
         }
     }
-    Some(rev)
+    Ok(rev)
 }
 
 #[cfg(test)]
@@ -511,9 +512,16 @@ mod tests {
     }
 
     #[test]
+    fn from_sorted_parts_rejects_bad_input() {
+        let err = CsrGraph::from_sorted_parts(vec![0, 1], vec![0]).unwrap_err();
+        assert!(err.contains("self loop"), "{err}");
+        assert!(CsrGraph::from_sorted_parts(Vec::new(), Vec::new()).is_err());
+    }
+
+    #[test]
     #[should_panic(expected = "invalid CSR parts")]
-    fn from_sorted_parts_panics_on_bad_input() {
-        CsrGraph::from_sorted_parts(vec![0, 1], vec![0]);
+    fn unchecked_constructor_panics_on_bad_input() {
+        CsrGraph::from_sorted_parts_unchecked(vec![0, 1], vec![0]);
     }
 
     #[test]
@@ -532,30 +540,20 @@ mod tests {
         ] {
             for (u, v, eo) in g.directed_edges() {
                 let r = g.rev_offset(eo);
-                assert_eq!(r, g.rev_offset_search(eo), "({u}, {v}) slot {eo}");
+                assert_eq!(Some(r), g.edge_offset(v, u), "({u}, {v}) slot {eo}");
                 assert_eq!(g.edge_dst(r), u);
-                assert_eq!(g.slot_src(eo), u);
                 assert_eq!(g.rev_offset(r), eo, "rev must be an involution");
             }
         }
     }
 
     #[test]
-    fn rev_offset_falls_back_without_index() {
-        let mut g = triangle();
-        g.rev = Vec::new();
-        for (_, _, eo) in triangle().directed_edges() {
-            assert_eq!(g.rev_offset(eo), triangle().rev_offset(eo));
-        }
-    }
-
-    #[test]
-    fn build_rev_rejects_asymmetric_parts() {
+    fn gate_rejects_asymmetric_parts() {
         // (0, 1) present without (1, 0): cursor check must fail.
-        assert_eq!(build_rev(&[0, 1, 1], &[1]), None);
+        assert!(check_and_index(&[0, 1, 1], &[1]).is_err());
         // Unsorted list: slots consumed out of ascending-source order.
-        assert_eq!(build_rev(&[0, 2, 3, 4], &[2, 1, 0, 0]), None);
+        assert!(check_and_index(&[0, 2, 3, 4], &[2, 1, 0, 0]).is_err());
         // Out-of-range destination.
-        assert_eq!(build_rev(&[0, 1], &[7]), None);
+        assert!(check_and_index(&[0, 1], &[7]).is_err());
     }
 }

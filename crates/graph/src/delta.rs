@@ -19,6 +19,8 @@
 //!   ([`DeltaError::OutOfRange`]),
 //! * at most one staged op per undirected pair
 //!   ([`DeltaError::Duplicate`]),
+//! * the spliced graph must stay within the `u32` directed-slot limit
+//!   ([`DeltaError::TooManyEdges`]),
 //! * inserting an edge that already exists and deleting one that does
 //!   not are **no-ops at apply time** (idempotent ingestion), tracked
 //!   separately from the effective edits in [`AppliedDelta`].
@@ -54,6 +56,12 @@ pub enum DeltaError {
         /// Larger endpoint of the duplicated pair.
         v: VertexId,
     },
+    /// The batch would grow the graph past `u32::MAX` directed slots,
+    /// the limit of the reverse-edge index every [`CsrGraph`] carries.
+    TooManyEdges {
+        /// Directed-slot count the spliced graph would have.
+        directed_edges: usize,
+    },
 }
 
 impl std::fmt::Display for DeltaError {
@@ -69,6 +77,11 @@ impl std::fmt::Display for DeltaError {
             DeltaError::Duplicate { u, v } => {
                 write!(f, "duplicate op on edge ({u}, {v}) in one batch")
             }
+            DeltaError::TooManyEdges { directed_edges } => write!(
+                f,
+                "batch would grow the graph to {directed_edges} directed edges, \
+                 beyond the u32 slot limit"
+            ),
         }
     }
 }
@@ -191,6 +204,11 @@ impl GraphDelta {
         del_dir.sort_unstable();
 
         let new_m2 = graph.num_directed_edges() + add_dir.len() - del_dir.len();
+        if new_m2 > u32::MAX as usize {
+            return Err(DeltaError::TooManyEdges {
+                directed_edges: new_m2,
+            });
+        }
         let mut offsets = vec![0usize; n + 1];
         let mut neighbors: Vec<VertexId> = Vec::with_capacity(new_m2);
         let (mut ai, mut di) = (0usize, 0usize);
@@ -245,7 +263,10 @@ impl GraphDelta {
         // Splice the reverse-edge index from the base graph's instead of
         // recounting all m slots: only slots incident to an edited
         // vertex need a fresh lookup, everything else is the old entry
-        // shifted by its destination's offset delta.
+        // shifted by its destination's offset delta. A large touched
+        // volume takes the full gate instead; the vertex count is the
+        // base graph's and the slot count was checked above, so the
+        // gate can only reject a splice bug.
         let mut in_t = vec![false; n];
         for &(u, v) in inserted.iter().chain(deleted.iter()) {
             in_t[u as usize] = true;

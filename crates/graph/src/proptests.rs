@@ -8,7 +8,7 @@
 //! binary — the streams are platform-independent.
 
 use crate::builder::from_edges;
-use crate::csr::VertexId;
+use crate::csr::{CsrGraph, VertexId};
 use crate::rng::SplitMix64;
 use crate::{analysis, io};
 
@@ -95,10 +95,10 @@ fn binary_roundtrip() {
     });
 }
 
-/// The precomputed reverse-edge index agrees with the binary-search
-/// lookup on every directed edge of the golden example and seeded
-/// ROLL/RMAT graphs, and survives a binary I/O round trip (the index is
-/// rebuilt on load, not serialized).
+/// The reverse-edge index agrees with the binary-search lookup
+/// `edge_offset(v, u)` on every directed edge of the golden example and
+/// seeded ROLL/RMAT graphs, and survives a binary I/O round trip (the
+/// index is rebuilt on load, not serialized).
 #[test]
 fn rev_index_agrees_with_binary_search_everywhere() {
     let mut graphs = vec![crate::gen::scan_paper_example()];
@@ -112,7 +112,6 @@ fn rev_index_agrees_with_binary_search_everywhere() {
                 .edge_offset(v, u)
                 .expect("undirected graph must contain the reverse edge");
             assert_eq!(g.rev_offset(eo), expect, "edge ({u}, {v}) slot {eo}");
-            assert_eq!(g.rev_offset_search(eo), expect);
         }
         let mut buf = Vec::new();
         io::write_binary(&g, &mut buf).unwrap();
@@ -121,6 +120,157 @@ fn rev_index_agrees_with_binary_search_everywhere() {
         for (_, _, eo) in back.directed_edges() {
             assert_eq!(back.rev_offset(eo), g.rev_offset(eo));
         }
+    }
+}
+
+/// The ways [`corrupt`] breaks valid CSR parts.
+const CORRUPTIONS: [&str; 12] = [
+    "swap adjacent neighbors",
+    "duplicate a slot",
+    "drop one direction",
+    "self loop",
+    "out-of-range id",
+    "non-monotone offset",
+    "shifted offsets",
+    "wrong final offset",
+    "random slot value",
+    "duplicate an edge in both lists",
+    "sorted self loop",
+    "rewire one direction of two edges",
+];
+
+/// Inserts `x` into `u`'s list at its sorted position, after any equal id.
+fn insert_sorted(offsets: &mut [usize], nbrs: &mut Vec<VertexId>, u: usize, x: VertexId) {
+    let at = offsets[u] + nbrs[offsets[u]..offsets[u + 1]].partition_point(|&w| w <= x);
+    nbrs.insert(at, x);
+    offsets[u + 1..].iter_mut().for_each(|o| *o += 1);
+}
+
+/// Applies corruption `kind` (an index into [`CORRUPTIONS`]) at a seeded
+/// position. Some draws leave the parts valid; the oracle decides.
+fn corrupt(rng: &mut SplitMix64, kind: usize, offsets: &mut [usize], nbrs: &mut Vec<VertexId>) {
+    let n = offsets.len() - 1;
+    let m = nbrs.len();
+    let slot = rng.gen_index(m);
+    let src = offsets.partition_point(|&o| o <= slot) - 1;
+    // A slot with a successor in the same list, if its list has one.
+    let pair = (offsets[src + 1] - offsets[src] >= 2)
+        .then(|| offsets[src] + rng.gen_index(offsets[src + 1] - offsets[src] - 1));
+    match kind {
+        0 => {
+            if let Some(e) = pair {
+                nbrs.swap(e, e + 1);
+            }
+        }
+        1 => {
+            if let Some(e) = pair {
+                nbrs[e + 1] = nbrs[e];
+            }
+        }
+        2 => {
+            nbrs.remove(slot);
+            offsets[src + 1..].iter_mut().for_each(|o| *o -= 1);
+        }
+        3 => nbrs[slot] = src as VertexId,
+        4 => nbrs[slot] = [n, n + 1, VertexId::MAX as usize][rng.gen_index(3)] as VertexId,
+        5 => {
+            let k = (1 + rng.gen_index(n.max(2) - 1)).min(n);
+            offsets[k] = offsets[(k + 1).min(n)] + 1 + rng.gen_index(3);
+        }
+        6 => {
+            if rng.gen_bool(0.5) {
+                // A junk leading slot with every offset shifted past it:
+                // each list is intact, only offsets[0] != 0 is wrong.
+                nbrs.insert(0, rng.gen_index(n) as VertexId);
+                offsets.iter_mut().for_each(|o| *o += 1);
+            } else {
+                let k = rng.gen_index(n + 1);
+                offsets[k] = if rng.gen_bool(0.5) {
+                    offsets[k] + 1
+                } else {
+                    offsets[k].saturating_sub(1)
+                };
+            }
+        }
+        7 => {
+            if rng.gen_bool(0.5) {
+                offsets[n] = if offsets[n] > 0 { offsets[n] - 1 } else { 1 };
+            } else {
+                nbrs.push(rng.gen_index(n) as VertexId);
+            }
+        }
+        8 => nbrs[slot] = rng.gen_index(n + 2) as VertexId,
+        // Both kinds below keep every list sorted and every edge's
+        // reverse present, so only the strictness and self-loop checks
+        // can reject them.
+        9 => {
+            let v = nbrs[slot];
+            insert_sorted(offsets, nbrs, src, v);
+            insert_sorted(offsets, nbrs, v as usize, src as VertexId);
+        }
+        10 => insert_sorted(offsets, nbrs, src, src as VertexId),
+        // Swaps the destinations of two slots and re-sorts both lists:
+        // every degree and in-degree is kept, so only the cursor's
+        // value check can see the broken symmetry.
+        _ => {
+            let other = rng.gen_index(m);
+            let src2 = offsets.partition_point(|&o| o <= other) - 1;
+            nbrs.swap(slot, other);
+            nbrs[offsets[src]..offsets[src + 1]].sort_unstable();
+            nbrs[offsets[src2]..offsets[src2 + 1]].sort_unstable();
+        }
+    }
+}
+
+/// The one-pass gate accepts exactly the parts the O(m log d)
+/// `validate()` oracle accepts, never panics, and on acceptance builds
+/// the same reverse index the oracle's binary search finds.
+#[test]
+fn gate_agrees_with_validate_oracle_on_corrupted_parts() {
+    let mut graphs = vec![
+        crate::gen::scan_paper_example(),
+        crate::gen::star(9),
+        crate::gen::path(6),
+        crate::gen::clique_chain(4, 3),
+    ];
+    for seed in 0..3u64 {
+        graphs.push(crate::gen::roll(120, 6, 0xC0 + seed));
+        graphs.push(crate::gen::rmat_social(6, 4, 0xD0 + seed));
+    }
+    assert!(CsrGraph::from_sorted_parts(Vec::new(), Vec::new()).is_err());
+    let mut rejected = [0usize; CORRUPTIONS.len()];
+    for (gi, g) in graphs.iter().enumerate() {
+        for (kind, name) in CORRUPTIONS.iter().enumerate() {
+            for seed in 0..24u64 {
+                let mut rng =
+                    SplitMix64::seed_from_u64((gi as u64) << 32 ^ (kind as u64) << 16 ^ seed);
+                let (mut offsets, mut nbrs) =
+                    (g.raw_offsets().to_vec(), g.raw_neighbors().to_vec());
+                corrupt(&mut rng, kind, &mut offsets, &mut nbrs);
+                let oracle =
+                    CsrGraph::unvalidated_for_tests(offsets.clone(), nbrs.clone()).validate();
+                let case = format!("graph {gi}, {name}, seed {seed}");
+                let gate = std::panic::catch_unwind(|| CsrGraph::from_sorted_parts(offsets, nbrs))
+                    .unwrap_or_else(|_| panic!("gate panicked: {case}"));
+                assert_eq!(
+                    gate.is_ok(),
+                    oracle.is_ok(),
+                    "{case}: gate {gate:?}, oracle {oracle:?}"
+                );
+                match gate {
+                    Ok(h) => {
+                        for (u, v, eo) in h.directed_edges() {
+                            assert_eq!(Some(h.rev_offset(eo)), h.edge_offset(v, u), "{case}");
+                        }
+                    }
+                    Err(_) => rejected[kind] += 1,
+                }
+            }
+        }
+    }
+    // Every corruption kind must actually produce invalid parts.
+    for (name, count) in CORRUPTIONS.iter().zip(rejected) {
+        assert!(count > 0, "no {name} draw was invalid");
     }
 }
 

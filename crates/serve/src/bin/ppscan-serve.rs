@@ -99,17 +99,10 @@ fn main() {
     let watchdog_secs: u64 =
         parse_or_exit(flag("--watchdog-secs").unwrap_or("5"), "--watchdog-secs");
 
-    let graph: CsrGraph = {
-        let result = if path.ends_with(".bin") {
-            io::read_binary_file(path)
-        } else {
-            io::read_edge_list_file(path)
-        };
-        result.unwrap_or_else(|e| {
-            eprintln!("failed to load {path}: {e}");
-            exit(1);
-        })
-    };
+    let graph: CsrGraph = io::read_graph_file(path).unwrap_or_else(|e| {
+        eprintln!("failed to load {path}: {e}");
+        exit(1);
+    });
     eprintln!(
         "loaded {path}: {} vertices, {} edges",
         graph.num_vertices(),

@@ -45,12 +45,7 @@ fn main() {
 }
 
 fn load(path: &str) -> CsrGraph {
-    let result = if path.ends_with(".bin") {
-        io::read_binary_file(path)
-    } else {
-        io::read_edge_list_file(path)
-    };
-    result.unwrap_or_else(|e| {
+    io::read_graph_file(path).unwrap_or_else(|e| {
         eprintln!("failed to load {path}: {e}");
         exit(1);
     })
@@ -282,12 +277,7 @@ fn cmd_generate(args: &[String]) -> i32 {
             return 2;
         }
     };
-    let result = if out.ends_with(".bin") {
-        io::write_binary_file(&g, out)
-    } else {
-        std::fs::File::create(out).and_then(|f| io::write_edge_list(&g, std::io::BufWriter::new(f)))
-    };
-    if let Err(e) = result {
+    if let Err(e) = io::write_graph_file(&g, out) {
         eprintln!("failed to write {out}: {e}");
         return 1;
     }
@@ -309,13 +299,7 @@ fn cmd_convert(args: &[String]) -> i32 {
         return 2;
     };
     let g = load(input);
-    let result = if output.ends_with(".bin") {
-        io::write_binary_file(&g, output)
-    } else {
-        std::fs::File::create(output)
-            .and_then(|f| io::write_edge_list(&g, std::io::BufWriter::new(f)))
-    };
-    if let Err(e) = result {
+    if let Err(e) = io::write_graph_file(&g, output) {
         eprintln!("failed to write {output}: {e}");
         return 1;
     }

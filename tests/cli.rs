@@ -204,3 +204,27 @@ fn missing_file_fails_cleanly() {
     assert_eq!(out.status.code(), Some(1));
     assert!(String::from_utf8_lossy(&out.stderr).contains("failed to load"));
 }
+
+/// Binary files whose headers claim absurd sizes are load errors, not a
+/// capacity-overflow panic or an abort on a huge allocation.
+#[test]
+fn crafted_binary_headers_fail_cleanly() {
+    let dir = tmpdir("crafted");
+    let word = |x: u64| x.to_le_bytes();
+    // 24 bytes: magic, n = 2^61, one offset.
+    let huge_n = [&b"PPSCANG1"[..], &word(1 << 61), &word(0)].concat();
+    // n = 1 with offsets [0, 2^40]: claims 2^40 directed slots.
+    let huge_m = [&b"PPSCANG1"[..], &word(1), &word(0), &word(1 << 40)].concat();
+    for (name, bytes) in [("huge_n.bin", huge_n), ("huge_m.bin", huge_m)] {
+        let path = dir.join(name);
+        std::fs::write(&path, bytes).unwrap();
+        let out = cli()
+            .args(["stats", path.to_str().unwrap()])
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{name}: {stderr}");
+        assert!(stderr.contains("failed to load"), "{name}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
